@@ -22,8 +22,9 @@ bench-smoke:
 bench-full:
 	REPRO_FULL=1 pytest benchmarks/ --benchmark-only
 
-# A seeded 3-AZ/6-node chaos run with full invariant checking, small
-# enough for CI (seconds, not minutes).
+# A seeded 3-AZ/6-node chaos run with full invariant checking, plus the
+# golden reports pinning seven seeded runs across the three harness
+# flavours; small enough for CI (seconds, not minutes).
 chaos-smoke:
 	pytest -m chaos_smoke
 

@@ -30,8 +30,13 @@ of safety invariants is asserted after every event and at quiescence:
   ever shed and every degraded predicate is walked back to its pristine
   definition once load subsides (invariants 13 and 14).
 
-Everything is deterministic per seed: the same seed reproduces the same
-schedule, the same event interleaving, and the same final frontiers.
+All three modes are flavours of one harness skeleton
+(:class:`~repro.chaos.harness.BaseChaosHarness`), and one runner,
+:func:`run_chaos`, runs whichever flavour matches its config:
+:class:`ChaosConfig`, :class:`OverloadChaosConfig` or
+:class:`RebalanceChaosConfig`.  Everything is deterministic per seed: the
+same seed reproduces the same schedule, the same event interleaving, and
+the same final frontiers.
 """
 
 from repro.chaos.harness import (
@@ -41,16 +46,8 @@ from repro.chaos.harness import (
     run_chaos,
 )
 from repro.chaos.invariants import InvariantChecker, InvariantViolation
-from repro.chaos.overload import (
-    OverloadChaosConfig,
-    OverloadChaosHarness,
-    run_overload_chaos,
-)
-from repro.chaos.rebalance import (
-    RebalanceChaosConfig,
-    RebalanceChaosHarness,
-    run_rebalance_chaos,
-)
+from repro.chaos.overload import OverloadChaosConfig, OverloadChaosHarness
+from repro.chaos.rebalance import RebalanceChaosConfig, RebalanceChaosHarness
 from repro.chaos.schedule import ChaosEvent, generate_schedule
 
 __all__ = [
@@ -66,6 +63,4 @@ __all__ = [
     "RebalanceChaosHarness",
     "generate_schedule",
     "run_chaos",
-    "run_overload_chaos",
-    "run_rebalance_chaos",
 ]

@@ -1,39 +1,45 @@
 """The chaos harness: a cluster under traffic, faults, and invariants.
 
-One :class:`ChaosHarness` run is the full experiment:
+Every chaos run is one experiment, whatever it stresses:
 
-1. build a 3-AZ topology (``az0``/``az1``/``az2`` by default) and a
-   Stabilizer cluster with a strict all-remote-nodes predicate and a
-   relaxed any-remote-node predicate, the stock
-   :class:`~repro.core.degradation.MaskSuspectedPolicy` installed at
-   every node, and an :class:`~repro.chaos.invariants.InvariantChecker`
-   monitoring everything;
+1. build an AZ topology and a Stabilizer cluster, with an
+   :class:`~repro.chaos.invariants.InvariantChecker` monitoring every
+   node and one flight recorder shared by every node incarnation;
 2. generate the seeded fault schedule
    (:func:`repro.chaos.schedule.generate_schedule`) and drive it:
    *crash* snapshots the victim at the crash instant (the integrated
-   system's persistence, Section III-E), closes it and downs its host;
+   system's persistence, Section III-E), crashes it and downs its host;
    *restart* brings the host back, rebuilds the node from the snapshot
-   via :meth:`~repro.core.cluster.StabilizerCluster.restart_node`
-   (which triggers peer replay catch-up), and re-attaches monitors and
-   the degradation policy; *partition*/*heal* cut and restore AZ links;
+   (which triggers peer replay catch-up) and re-arms it;
+   *partition*/*heal* cut and restore AZ links;
 3. run steady traffic from every live node, guarding a sample of sends
    with release-verified waiters;
-4. after the schedule closes, settle until every message is delivered
-   everywhere (bounded), then run the final delivery check.
+4. after the schedule closes, settle until the cluster is quiescent
+   (bounded), then run the final checks.
+
+:class:`BaseChaosHarness` is that skeleton; each flavour subclasses it
+and fills in hooks.  :class:`ChaosHarness` is the plain flavour: a
+3-AZ/6-node cluster with a strict all-remote-nodes predicate, a relaxed
+any-remote-node predicate, the stock
+:class:`~repro.core.degradation.MaskSuspectedPolicy` at every node and,
+by default, WALs on seeded fault-injectable disks.  The overload and
+rebalance flavours live in :mod:`repro.chaos.overload` and
+:mod:`repro.chaos.rebalance`.
 
 The run is deterministic per seed: schedules, event interleavings and
-final frontiers reproduce exactly.  :func:`run_chaos` wraps a run and
-returns the report dict the benchmark and the smoke test consume.
+final frontiers reproduce exactly.  :func:`run_chaos` builds the harness
+matching its config's class, runs it and returns the report dict.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.chaos.invariants import InvariantChecker, InvariantViolation
+from repro.chaos.invariants import InvariantChecker
 from repro.chaos.schedule import ChaosEvent, generate_schedule
 from repro.core.cluster import StabilizerCluster
 from repro.core.config import StabilizerConfig
@@ -58,117 +64,130 @@ DURABLE_KEY = "durable_all"
 CHAOS_DISK_FAULTS = ("fsync_fail", "eio_write", "enospc", "torn_write")
 
 
-class ChaosConfig:
-    """Knobs for one chaos run; defaults give the 3-AZ/6-node experiment."""
+@dataclass(kw_only=True)
+class BaseChaosConfig:
+    """The knobs every chaos flavour shares.  Each flavour's config
+    subclasses this, re-declaring the defaults it tunes differently."""
 
-    def __init__(
-        self,
-        seed: int = 0,
-        azs: int = 3,
-        nodes_per_az: int = 2,
-        events: int = 12,
-        send_interval_s: float = 0.15,
-        payload_bytes: int = 1024,
-        traffic_end_s: Optional[float] = None,
-        failure_timeout_s: float = 1.5,
-        settle_slice_s: float = 2.0,
-        max_settle_slices: int = 60,
-        waiter_every: int = 5,
-        first_event_at: float = 1.0,
-        min_gap_s: float = 0.5,
-        max_gap_s: float = 2.0,
-        window_bytes: Optional[int] = 4 * 1024,
-        frame_bytes: Optional[int] = 2 * 1024,
-        frame_delay_ms: float = 2.0,
-        durability: bool = True,
-        disk_faults: bool = False,
-        disk_fault_kinds: Tuple[str, ...] = CHAOS_DISK_FAULTS,
-        disk_fault_rate: float = 0.3,
-        checkpoint_interval_s: Optional[float] = None,
-        durability_batch: int = 8,
-        durability_interval_s: float = 0.01,
-        stabilization_strategy: str = "acktable",
-        strategy_params: Optional[dict] = None,
-        trace: bool = True,
-        trace_capacity: int = 65536,
-        trace_dir: str = ".",
-    ):
-        self.seed = seed
-        self.azs = azs
-        self.nodes_per_az = nodes_per_az
-        self.events = events
-        self.send_interval_s = send_interval_s
-        self.payload_bytes = payload_bytes
-        self.traffic_end_s = traffic_end_s
-        self.failure_timeout_s = failure_timeout_s
-        self.settle_slice_s = settle_slice_s
-        self.max_settle_slices = max_settle_slices
-        self.waiter_every = waiter_every
-        self.first_event_at = first_event_at
-        self.min_gap_s = min_gap_s
-        self.max_gap_s = max_gap_s
-        # Deliberately tiny window and frame budgets: partitions and
-        # suspensions must close windows and stall streams mid-run, so the
-        # stall/resume and reclaim invariants see real traffic.
-        self.window_bytes = window_bytes
-        self.frame_bytes = frame_bytes
-        self.frame_delay_ms = frame_delay_ms
-        self.durability = durability
-        self.disk_faults = disk_faults
-        self.disk_fault_kinds = tuple(disk_fault_kinds)
-        self.disk_fault_rate = disk_fault_rate
-        self.checkpoint_interval_s = checkpoint_interval_s
-        self.durability_batch = durability_batch
-        self.durability_interval_s = durability_interval_s
-        # Which stabilization engine the cluster runs (the invariants are
-        # engine-agnostic; make strategy-smoke sweeps all three).
-        self.stabilization_strategy = stabilization_strategy
-        self.strategy_params = dict(strategy_params or {})
-        # Flight recorder: on by default — a failing seed must always
-        # come with its interleaving.  The ring bounds the cost.
-        self.trace = trace
-        self.trace_capacity = trace_capacity
-        self.trace_dir = trace_dir
+    seed: int = 0
+    azs: int = 3
+    nodes_per_az: int = 2
+    events: int = 12
+    send_interval_s: float = 0.15
+    payload_bytes: int = 1024
+    failure_timeout_s: float = 1.5
+    settle_slice_s: float = 2.0
+    max_settle_slices: int = 60
+    waiter_every: int = 5
+    first_event_at: float = 1.0
+    min_gap_s: float = 0.5
+    max_gap_s: float = 2.0
+    # Flight recorder: on by default — a failing seed must always
+    # come with its interleaving.  The ring bounds the cost.
+    trace: bool = True
+    trace_capacity: int = 65536
+    trace_dir: str = "."
 
     def groups(self) -> Dict[str, List[str]]:
+        """Initial members by AZ (what the schedule may fault)."""
         return {
             f"az{a}": [f"n{a}{i}" for i in range(self.nodes_per_az)]
             for a in range(self.azs)
         }
 
 
-class ChaosHarness:
-    """See module docstring."""
+@dataclass(kw_only=True)
+class ChaosConfig(BaseChaosConfig):
+    """Knobs for one chaos run; defaults give the 3-AZ/6-node experiment."""
 
-    def __init__(self, config: Optional[ChaosConfig] = None):
-        self.config = config or ChaosConfig()
+    traffic_end_s: Optional[float] = None
+    # Deliberately tiny window and frame budgets: partitions and
+    # suspensions must close windows and stall streams mid-run, so the
+    # stall/resume and reclaim invariants see real traffic.
+    window_bytes: Optional[int] = 4 * 1024
+    frame_bytes: Optional[int] = 2 * 1024
+    frame_delay_ms: float = 2.0
+    durability: bool = True
+    disk_faults: bool = False
+    disk_fault_kinds: Tuple[str, ...] = CHAOS_DISK_FAULTS
+    disk_fault_rate: float = 0.3
+    checkpoint_interval_s: Optional[float] = None
+    durability_batch: int = 8
+    durability_interval_s: float = 0.01
+    # Which stabilization engine the cluster runs (the invariants are
+    # engine-agnostic; make strategy-smoke sweeps all three).
+    stabilization_strategy: str = "acktable"
+    strategy_params: Optional[dict] = None
+
+    def __post_init__(self):
+        self.disk_fault_kinds = tuple(self.disk_fault_kinds)
+        self.strategy_params = dict(self.strategy_params or {})
+
+
+def sum_stats(parts) -> Dict[str, float]:
+    """Sum stats dicts key by key."""
+    totals: Dict[str, float] = {}
+    for stats in parts:
+        for key, value in stats.items():
+            totals[key] = totals.get(key, 0) + value
+    return totals
+
+
+class BaseChaosHarness:
+    """The shared skeleton; see module docstring.
+
+    ``schedule`` overrides the generated one — handcrafted schedules pin
+    down specific interleavings (a crash timed inside a handoff window)
+    that seeded randomness only sometimes produces.
+    """
+
+    config_class = BaseChaosConfig
+    #: Per-flavour constants: send-RNG salt, link latency, dump-file
+    #: prefix, and the predicate keys the sampled waiters guard.
+    SEND_SALT = 0x5EED
+    LINK_LATENCY_MS = 10
+    DUMP_PREFIX = "chaos"
+    waiter_keys: Tuple[str, ...] = ()
+
+    def __init__(self, config=None, schedule: Optional[List[ChaosEvent]] = None):
+        self.config = config or self.config_class()
         self.groups = self.config.groups()
         self.node_names = [n for members in self.groups.values() for n in members]
         self.checker = InvariantChecker()
-        self.schedule: List[ChaosEvent] = generate_schedule(
-            self.groups,
-            seed=self.config.seed,
-            events=self.config.events,
-            start=self.config.first_event_at,
-            min_gap=self.config.min_gap_s,
-            max_gap=self.config.max_gap_s,
-            disk_fault_kinds=(
-                self.config.disk_fault_kinds if self.config.disk_faults else ()
-            ),
+        self.schedule: List[ChaosEvent] = (
+            schedule
+            if schedule is not None
+            else generate_schedule(
+                self.groups,
+                seed=self.config.seed,
+                events=self.config.events,
+                start=self.config.first_event_at,
+                min_gap=self.config.min_gap_s,
+                max_gap=self.config.max_gap_s,
+                **self._schedule_options(),
+            )
         )
         self.fired: List[Tuple[float, str, Tuple[str, ...]]] = []
-        self._crashed: Dict[str, dict] = {}  # node -> crash-instant snapshot
-        self._send_rng = random.Random(self.config.seed ^ 0x5EED)
-        self._sends_done = False
+        # node -> crash-instant snapshot; None marks a host that went
+        # dark before its process existed (a spare with a queued join).
+        self._crashed: Dict[str, Optional[dict]] = {}
+        self._send_rng = random.Random(self.config.seed ^ self.SEND_SALT)
         self._waiter_timeouts = 0
 
-        topo = Topology()
+        self.topo = Topology()
         for az, members in self.groups.items():
             for name in members:
-                topo.add_node(name, group=az)
-        topo.set_default(NetemSpec(latency_ms=10, rate_mbit=100))
+                self.topo.add_node(name, group=az)
+        for name, az in self._spare_hosts().items():
+            self.topo.add_node(name, group=az)
+        self.topo.set_default(
+            NetemSpec(latency_ms=self.LINK_LATENCY_MS, rate_mbit=100)
+        )
+        # Partition events cut whole AZs, spares included: a spare mid-join
+        # can find itself on the wrong side of the cut.
+        self.partition_groups = self.topo.groups()
         self.sim = Simulator()
-        self.net = topo.build(self.sim, RngRegistry(self.config.seed))
+        self.net = self.topo.build(self.sim, RngRegistry(self.config.seed))
         # One flight recorder across the whole cluster (and every node
         # incarnation), stamped with virtual time.  On an invariant
         # failure the checker dumps it next to the test output.
@@ -180,26 +199,258 @@ class ChaosHarness:
         self.checker.flight_recorder = self.tracer
         self.checker.dump_path = (
             Path(self.config.trace_dir)
-            / f"chaos_failure_{self.config.seed}.trace.json"
+            / f"{self.DUMP_PREFIX}_failure_{self.config.seed}.trace.json"
         )
-        predicates = {
-            STRICT_KEY: "MIN($ALLWNODES - $MYWNODE)",
-            RELAXED_KEY: "MAX($ALLWNODES - $MYWNODE)",
-        }
-        if self.config.durability:
-            # Released only when every node's WAL has fsynced the bytes —
-            # the claim the durability-honesty invariants police.
-            predicates[DURABLE_KEY] = "MIN($ALLWNODES.persisted)"
-        base = StabilizerConfig.from_topology(
-            topo,
+        self.cluster = self._build_cluster()
+        for node in self.cluster:
+            self._arm_node(node)
+        self._handlers = self._event_handlers()
+
+    # -- flavour hooks -------------------------------------------------------------
+    def _schedule_options(self) -> dict:
+        """Extra :func:`generate_schedule` arguments (event budgets)."""
+        return {}
+
+    def _spare_hosts(self) -> Dict[str, str]:
+        """Provisioned non-member hosts, name -> AZ."""
+        return {}
+
+    def _stabilizer_config(
+        self, control_interval_s: float = 0.005, **settings
+    ) -> StabilizerConfig:
+        """The deployment config every flavour builds on; ``settings``
+        carry the flavour's predicates and tunables."""
+        return StabilizerConfig(
+            node_names=self.node_names,
+            groups=self.groups,
             local=self.node_names[0],
-            predicates=predicates,
-            control_interval_s=0.005,
+            control_interval_s=control_interval_s,
             failure_timeout_s=self.config.failure_timeout_s,
             # Channels give up fast so dead-peer reports (not just the
             # heartbeat timer) drive suspicion during the run.
             max_retransmit_attempts=5,
             transport_max_rto_s=1.0,
+            **settings,
+        )
+
+    def _build_cluster(self):
+        raise NotImplementedError
+
+    def _arm_node(self, node) -> None:
+        """Wire one (re)built node: degradation policy and monitors."""
+        node.set_degradation_policy()
+        self.checker.attach(node)
+
+    def _send(self, name: str):
+        """Make one send from live ``name``: ``(node, seq, shard)``, or
+        None when nothing went out."""
+        raise NotImplementedError
+
+    def _send_interval(self, name: str) -> float:
+        return self.config.send_interval_s
+
+    def _crash_node(self, name: str, node) -> None:
+        node.crash()
+
+    def _restarted(self, node) -> None:
+        self._arm_node(node)
+        # Invariants 6+7: the recovered WAL must back the restored
+        # persisted claims and everything peers ever observed.
+        self.checker.check_restart(node)
+
+    def _event_handlers(self) -> Dict[str, Callable[..., None]]:
+        """Event kind -> handler, called with the event's target."""
+        groups = self.partition_groups
+        return {
+            "crash": self._crash,
+            "restart": self._restart,
+            "partition": lambda a, b: self.net.partition(groups[a], groups[b]),
+            "heal": lambda *_: self.net.heal(),
+        }
+
+    def _before_settle(self) -> None:
+        pass
+
+    def _quiescent(self) -> bool:
+        return self.checker.all_delivered(list(self.cluster))
+
+    def _final_checks(self) -> None:
+        pass
+
+    def _report_extras(self, elapsed_s: float) -> dict:
+        return {}
+
+    # -- traffic -----------------------------------------------------------------
+    def _traffic_end(self) -> float:
+        # traffic_end_s is an optional knob; by default traffic runs
+        # until 2 s after the last scheduled event.
+        end = getattr(self.config, "traffic_end_s", None)
+        return self.schedule[-1].at + 2.0 if end is None else end
+
+    def _start_traffic(self) -> None:
+        hosts = self.topo.node_names()
+        for i, name in enumerate(hosts):
+            # Stagger the first sends so streams do not tick in lockstep.
+            offset = self.config.send_interval_s * (i + 1) / len(hosts)
+            self.sim.call_later(offset, self._send_tick, name)
+
+    def _payload(self) -> SyntheticPayload:
+        return SyntheticPayload(
+            self._send_rng.randrange(64, self.config.payload_bytes)
+        )
+
+    def _send_tick(self, name: str) -> None:
+        if self.sim.now < self._traffic_end():
+            self.sim.call_later(self._send_interval(name), self._send_tick, name)
+        if name in self._crashed:
+            return  # the node is down; its timer idles until restart
+        sent = self._send(name)
+        if sent is None:
+            return
+        node, seq, shard = sent
+        if seq % self.config.waiter_every == 0:
+            for key in self.waiter_keys:
+                event = self.checker.guarded_waitfor(
+                    node, seq, key, timeout_s=60.0, shard=shard
+                )
+                event.add_callback(self._count_timeout)
+
+    def _count_timeout(self, event) -> None:
+        if event.failed:
+            self._waiter_timeouts += 1
+
+    # -- fault execution -----------------------------------------------------------
+    def _fire(self, event: ChaosEvent) -> None:
+        handler = self._handlers.get(event.kind)
+        if handler is None:
+            raise ValueError(f"unknown chaos event kind {event.kind!r}")
+        handler(*event.target)
+        self.fired.append((self.sim.now, event.kind, event.target))
+        self.checker.check_tables(self._live_nodes())
+
+    def _crash(self, name: str) -> None:
+        node = self.cluster.nodes.get(name)
+        if node is None:
+            self._crashed[name] = None
+        else:
+            # The crash-instant snapshot is the paper's persisted state:
+            # reclaim waits for *everyone*, so what peers still buffer is
+            # a superset of anything this snapshot lacks.
+            self._crashed[name] = snapshot_state(node)
+            self._crash_node(name, node)
+            fs = self.cluster.filesystems.get(name)
+            if fs is not None and hasattr(fs, "crash"):
+                # The disk loses everything not fsynced — with a torn
+                # (injector-random) fraction of the unsynced tail left
+                # behind for recovery to truncate.
+                fs.crash(torn=True)
+        self.net.crash_node(name)
+
+    def _restart(self, name: str) -> None:
+        self.net.recover_node(name)
+        snapshot = self._crashed.pop(name)
+        if snapshot is not None:
+            self._restarted(self.cluster.restart_node(name, snapshot))
+
+    def _live_nodes(self):
+        return [
+            node
+            for name, node in self.cluster.nodes.items()
+            if name not in self._crashed
+        ]
+
+    # -- the run -------------------------------------------------------------------
+    def _settle(self, done: Callable[[], bool]) -> int:
+        """Run bounded slices until ``done()``; returns the slice count."""
+        slices = 0
+        while not done() and slices < self.config.max_settle_slices:
+            slices += 1
+            self.sim.run(until=self.sim.now + self.config.settle_slice_s)
+        return slices
+
+    def run(self) -> dict:
+        """Execute the schedule under traffic; returns the report dict.
+
+        Raises :class:`~repro.chaos.invariants.InvariantViolation` the
+        moment any safety property breaks.
+        """
+        started = time.perf_counter()
+        self._start_traffic()
+        for event in self.schedule:
+            self.sim.call_at(event.at, self._fire, event)
+        # Heartbeats keep the event heap non-empty forever, so run in
+        # bounded slices: first to the end of the schedule and traffic,
+        # then settle until the cluster is quiescent.
+        self.sim.run(until=self._traffic_end() + 0.5)
+        self._before_settle()
+        self.checker.check_tables(self._live_nodes())
+        settle_slices = self._settle(self._quiescent)
+        nodes = list(self.cluster)
+        self.checker.check_tables(nodes)
+        self.checker.check_delivery(nodes)
+        self._final_checks()
+        return self.report(time.perf_counter() - started, settle_slices)
+
+    def report(self, elapsed_s: float, settle_slices: int) -> dict:
+        return {
+            "seed": self.config.seed,
+            "azs": len(self.groups),
+            "schedule": [[ev.at, ev.kind, list(ev.target)] for ev in self.schedule],
+            "fired": [[t, kind, list(target)] for t, kind, target in self.fired],
+            "virtual_end_s": self.sim.now,
+            "settle_slices": settle_slices,
+            "waiter_timeouts": self._waiter_timeouts,
+            "invariant_checks": self.checker.checks,
+            "monitor_events": self.checker.monitor_events,
+            "violations": list(self.checker.violations),
+            "trace_events": self.tracer.emitted,
+            "elapsed_s": elapsed_s,
+            **self._report_extras(elapsed_s),
+        }
+
+    def _cluster_report(self, elapsed_s: float) -> dict:
+        """Report keys of the flavours that total per-node stats."""
+        return {
+            "messages_sent": self.checker.sent_by_origin(),
+            "releases_checked": self.checker.releases_checked,
+            "restarts_checked": self.checker.restarts_checked,
+            "trace_dropped": self.tracer.dropped,
+            "cluster_totals": sum_stats(node.stats() for node in self.cluster),
+            "checks_per_s": (
+                self.checker.checks / elapsed_s if elapsed_s > 0 else 0.0
+            ),
+        }
+
+    def close(self) -> None:
+        self.cluster.close()
+
+
+class ChaosHarness(BaseChaosHarness):
+    """The plain flavour: crash / restart / partition / heal, plus disk
+    faults and periodic checkpoints; see module docstring."""
+
+    config_class = ChaosConfig
+
+    def _schedule_options(self) -> dict:
+        return {
+            "disk_fault_kinds": (
+                self.config.disk_fault_kinds if self.config.disk_faults else ()
+            )
+        }
+
+    def _build_cluster(self) -> StabilizerCluster:
+        predicates = {
+            STRICT_KEY: "MIN($ALLWNODES - $MYWNODE)",
+            RELAXED_KEY: "MAX($ALLWNODES - $MYWNODE)",
+        }
+        self.waiter_keys = (STRICT_KEY,)
+        if self.config.durability:
+            # Released only when every node's WAL has fsynced the bytes —
+            # the claim the durability-honesty invariants police.
+            predicates[DURABLE_KEY] = "MIN($ALLWNODES.persisted)"
+            self.waiter_keys += (DURABLE_KEY,)
+        base = self._stabilizer_config(
+            predicates=predicates,
             window_bytes=self.config.window_bytes,
             frame_bytes=self.config.frame_bytes,
             frame_delay_ms=self.config.frame_delay_ms,
@@ -218,7 +469,7 @@ class ChaosHarness:
                     seed=(_seed << 8) ^ self.node_names.index(name)
                 )
 
-        self.cluster = StabilizerCluster(
+        cluster = StabilizerCluster(
             self.net, base, fs_factory=fs_factory, tracer=self.tracer
         )
         if self.config.checkpoint_interval_s is not None:
@@ -230,45 +481,13 @@ class ChaosHarness:
                 )
         self.checkpoints_taken = 0
         self.checkpoint_faults = 0
-        for node in self.cluster:
-            node.set_degradation_policy()
-            self.checker.attach(node)
+        return cluster
 
-    # -- traffic -----------------------------------------------------------------
-    def _traffic_end(self) -> float:
-        if self.config.traffic_end_s is not None:
-            return self.config.traffic_end_s
-        return self.schedule[-1].at + 2.0
-
-    def _start_traffic(self) -> None:
-        for i, name in enumerate(self.node_names):
-            # Stagger the first sends so streams do not tick in lockstep.
-            offset = self.config.send_interval_s * (i + 1) / len(self.node_names)
-            self.sim.call_later(offset, self._send_tick, name)
-
-    def _send_tick(self, name: str) -> None:
-        if self.sim.now < self._traffic_end():
-            self.sim.call_later(self.config.send_interval_s, self._send_tick, name)
-        if name in self._crashed:
-            return  # the node is down; its timer idles until restart
+    def _send(self, name: str):
         node = self.cluster[name]
-        size = self._send_rng.randrange(64, self.config.payload_bytes)
-        seq = node.send(SyntheticPayload(size))
+        seq = node.send(self._payload())
         self.checker.note_sent(name, seq)
-        if seq % self.config.waiter_every == 0:
-            event = self.checker.guarded_waitfor(
-                node, seq, STRICT_KEY, timeout_s=60.0
-            )
-            event.add_callback(self._count_timeout)
-            if self.config.durability:
-                durable = self.checker.guarded_waitfor(
-                    node, seq, DURABLE_KEY, timeout_s=60.0
-                )
-                durable.add_callback(self._count_timeout)
-
-    def _count_timeout(self, event) -> None:
-        if event.failed:
-            self._waiter_timeouts += 1
+        return node, seq, None
 
     # -- checkpoints ---------------------------------------------------------------
     def _checkpoint_tick(self, name: str) -> None:
@@ -290,111 +509,27 @@ class ChaosHarness:
         except DiskFaultError:
             self.checkpoint_faults += 1
 
-    # -- fault execution -----------------------------------------------------------
-    def _arm_schedule(self) -> None:
-        for event in self.schedule:
-            self.sim.call_at(event.at, self._fire, event)
-
-    def _fire(self, event: ChaosEvent) -> None:
-        if event.kind == "crash":
-            name = event.target[0]
-            node = self.cluster[name]
-            # The crash-instant snapshot is the paper's persisted state:
-            # reclaim waits for *everyone*, so what peers still buffer is
-            # a superset of anything this snapshot lacks.
-            self._crashed[name] = snapshot_state(node)
-            node.crash()
-            fs = self.cluster.filesystems.get(name)
-            if fs is not None and hasattr(fs, "crash"):
-                # The disk loses everything not fsynced — with a torn
-                # (injector-random) fraction of the unsynced tail left
-                # behind for recovery to truncate.
-                fs.crash(torn=True)
-            self.net.crash_node(name)
-        elif event.kind == "restart":
-            name = event.target[0]
-            self.net.recover_node(name)
-            node = self.cluster.restart_node(name, self._crashed.pop(name))
-            node.set_degradation_policy()
-            self.checker.attach(node)
-            # Invariants 6+7: the recovered WAL must back the restored
-            # persisted claims and everything peers ever observed.
-            self.checker.check_restart(node)
-        elif event.kind == "disk_fault":
-            name, fault = event.target
-            fs = self.cluster.filesystems.get(name)
-            if fs is not None and fs.injector is not None:
-                fs.injector.arm(fault, self.config.disk_fault_rate)
-        elif event.kind == "disk_heal":
-            name = event.target[0]
-            fs = self.cluster.filesystems.get(name)
-            if fs is not None and fs.injector is not None:
-                fs.injector.clear()
-        elif event.kind == "partition":
-            a, b = event.target
-            self.net.partition(self.groups[a], self.groups[b])
-        elif event.kind == "heal":
-            self.net.heal()
-        else:  # pragma: no cover - schedule generator cannot produce this
-            raise ValueError(f"unknown chaos event kind {event.kind!r}")
-        self.fired.append((self.sim.now, event.kind, event.target))
-        self.checker.check_tables(self._live_nodes())
-
-    def _live_nodes(self):
-        return [
-            node for node in self.cluster if node.name not in self._crashed
-        ]
-
-    # -- the run -------------------------------------------------------------------
-    def run(self) -> dict:
-        """Execute the schedule under traffic; returns the report dict.
-
-        Raises :class:`~repro.chaos.invariants.InvariantViolation` the
-        moment any safety property breaks.
-        """
-        started = time.perf_counter()
-        self._start_traffic()
-        self._arm_schedule()
-        # Heartbeats keep the event heap non-empty forever, so run in
-        # bounded slices: first to the end of the schedule and traffic,
-        # then settle until every stream converges everywhere.
-        self.sim.run(until=self._traffic_end() + 0.5)
-        self.checker.check_tables(self._live_nodes())
-        settle_slices = 0
-        while not self.checker.all_delivered(self.cluster):
-            if settle_slices >= self.config.max_settle_slices:
-                break
-            settle_slices += 1
-            self.sim.run(until=self.sim.now + self.config.settle_slice_s)
-        self.checker.check_tables(self.cluster)
-        self.checker.check_delivery(self.cluster)
-        elapsed = time.perf_counter() - started
-        return self.report(elapsed, settle_slices)
-
-    def _messages_sent(self) -> Dict[str, int]:
-        """Per-origin high sequence numbers.  The checker keys its sent
-        record by ``(origin, shard)``; unsharded nodes put everything in
-        shard 0, so taking the max across shards reproduces the old
-        per-origin view exactly."""
-        sent: Dict[str, int] = {}
-        for (origin, _shard), seq in self.checker._sent.items():
-            sent[origin] = max(sent.get(origin, 0), seq)
-        return dict(sorted(sent.items()))
-
-    def report(self, elapsed_s: float, settle_slices: int) -> dict:
-        totals: Dict[str, float] = {}
-        for node in self.cluster:
-            for key, value in node.stats().items():
-                totals[key] = totals.get(key, 0) + value
+    # -- disk faults ---------------------------------------------------------------
+    def _event_handlers(self) -> Dict[str, Callable[..., None]]:
         return {
-            "seed": self.config.seed,
+            **super()._event_handlers(),
+            "disk_fault": self._disk_fault,
+            "disk_heal": self._disk_heal,
+        }
+
+    def _disk_fault(self, name: str, fault: str) -> None:
+        fs = self.cluster.filesystems.get(name)
+        if fs is not None and fs.injector is not None:
+            fs.injector.arm(fault, self.config.disk_fault_rate)
+
+    def _disk_heal(self, name: str) -> None:
+        fs = self.cluster.filesystems.get(name)
+        if fs is not None and fs.injector is not None:
+            fs.injector.clear()
+
+    def _report_extras(self, elapsed_s: float) -> dict:
+        return {
             "nodes": len(self.node_names),
-            "azs": len(self.groups),
-            "schedule": [[ev.at, ev.kind, list(ev.target)] for ev in self.schedule],
-            "fired": [[t, kind, list(target)] for t, kind, target in self.fired],
-            "virtual_end_s": self.sim.now,
-            "settle_slices": settle_slices,
-            "messages_sent": self._messages_sent(),
             "final_frontiers": {
                 node.name: {
                     origin: node.get_stability_frontier(STRICT_KEY, origin)
@@ -402,11 +537,6 @@ class ChaosHarness:
                 }
                 for node in self.cluster
             },
-            "waiter_timeouts": self._waiter_timeouts,
-            "invariant_checks": self.checker.checks,
-            "monitor_events": self.checker.monitor_events,
-            "releases_checked": self.checker.releases_checked,
-            "restarts_checked": self.checker.restarts_checked,
             "durability": self.config.durability,
             "disk_faults_injected": sum(
                 sum(fs.injector.injected.values())
@@ -415,23 +545,21 @@ class ChaosHarness:
             ),
             "checkpoints_taken": self.checkpoints_taken,
             "checkpoint_faults": self.checkpoint_faults,
-            "violations": list(self.checker.violations),
-            "trace_events": self.tracer.emitted,
-            "trace_dropped": self.tracer.dropped,
-            "cluster_totals": totals,
-            "elapsed_s": elapsed_s,
-            "checks_per_s": (
-                self.checker.checks / elapsed_s if elapsed_s > 0 else 0.0
-            ),
+            **self._cluster_report(elapsed_s),
         }
 
-    def close(self) -> None:
-        self.cluster.close()
 
-
-def run_chaos(config: Optional[ChaosConfig] = None) -> dict:
-    """Build a harness, run it, close it, return the report."""
-    harness = ChaosHarness(config)
+def run_chaos(config=None, schedule: Optional[List[ChaosEvent]] = None) -> dict:
+    """Build the harness matching ``config``'s class (a plain
+    :class:`ChaosConfig` by default), run it, close it, return the
+    report."""
+    config = config or ChaosConfig()
+    for flavour in BaseChaosHarness.__subclasses__():
+        if isinstance(config, flavour.config_class):
+            break
+    else:
+        raise TypeError(f"no chaos harness runs a {type(config).__name__}")
+    harness = flavour(config, schedule=schedule)
     try:
         return harness.run()
     finally:

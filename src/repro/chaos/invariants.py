@@ -156,6 +156,16 @@ class InvariantChecker:
         slot = (origin, shard)
         self._sent[slot] = max(self._sent.get(slot, 0), seq)
 
+    def sent_by_origin(self) -> Dict[str, int]:
+        """Per-origin high sequence numbers, sorted by origin.  The sent
+        record is keyed by ``(origin, shard)``; unsharded nodes put
+        everything in shard 0, so the max across shards is exactly the
+        per-origin view."""
+        sent: Dict[str, int] = {}
+        for (origin, _shard), seq in self._sent.items():
+            sent[origin] = max(sent.get(origin, 0), seq)
+        return dict(sorted(sent.items()))
+
     def attach(self, node, shards=None) -> None:
         """Register monitors on every predicate of ``node`` (each owned
         shard of a sharded node).
@@ -647,6 +657,16 @@ class InvariantChecker:
         for slot in [s for s in self._rows if s[0] == name]:
             del self._rows[slot]
 
+    def _deliveries(self, nodes):
+        """``(name, origin, shard, received, sent)`` for every stream in
+        scope at every owner of its shard."""
+        by_shard = self._shard_units(nodes)
+        for (origin, shard), sent in self._sent.items():
+            for name, unit in by_shard.get(shard, ()):
+                if self._in_stream_scope(origin, name, unit):
+                    got = unit.dataplane.highest_received(origin)
+                    yield name, origin, shard, got, sent
+
     def check_delivery(self, nodes) -> None:
         """At quiescence: everything ever sent reached every *owner of
         that shard*.  Non-owners never replicate the stream; expecting
@@ -654,27 +674,15 @@ class InvariantChecker:
         replication.  An origin outside a shard view's membership (it
         released the shard, or left the deployment, at a cutover) is
         likewise out of scope — its stream was dropped with it."""
-        by_shard = self._shard_units(nodes)
-        for (origin, shard), sent in self._sent.items():
-            for name, unit in by_shard.get(shard, ()):
-                if not self._in_stream_scope(origin, name, unit):
-                    continue
-                self.checks += 1
-                got = unit.dataplane.highest_received(origin)
-                if got < sent:
-                    self._fail(
-                        f"lost messages: {name} has {got} of origin "
-                        f"{origin!r}'s shard-{shard} stream, {sent} were sent"
-                    )
+        for name, origin, shard, got, sent in self._deliveries(nodes):
+            self.checks += 1
+            if got < sent:
+                self._fail(
+                    f"lost messages: {name} has {got} of origin "
+                    f"{origin!r}'s shard-{shard} stream, {sent} were sent"
+                )
         self.check_cutover_preservation(nodes)
 
     def all_delivered(self, nodes) -> bool:
         """Non-asserting convergence probe used by the settle loop."""
-        by_shard = self._shard_units(nodes)
-        for (origin, shard), sent in self._sent.items():
-            for name, unit in by_shard.get(shard, ()):
-                if not self._in_stream_scope(origin, name, unit):
-                    continue
-                if unit.dataplane.highest_received(origin) < sent:
-                    return False
-        return True
+        return all(got >= sent for *_, got, sent in self._deliveries(nodes))

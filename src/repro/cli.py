@@ -376,9 +376,9 @@ def _cmd_top(args) -> None:
 def _cmd_overload(args) -> None:
     """One seeded overload-chaos run: flash crowds and slow nodes against
     admission control and the closed-loop SLA controller."""
-    from repro.chaos import OverloadChaosConfig, run_overload_chaos
+    from repro.chaos import OverloadChaosConfig, run_chaos
 
-    report = run_overload_chaos(
+    report = run_chaos(
         OverloadChaosConfig(
             seed=args.seed,
             events=args.events,

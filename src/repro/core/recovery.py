@@ -12,8 +12,8 @@ what it missed while down.
 
 Version 2 added the send buffer and receive watermarks; version 3 added
 the durability section (the WAL watermarks the snapshot was compacted
-against) and made :func:`save_snapshot` crash-atomic.  Older snapshots
-still restore (version 1 without buffer replay of the node's own stream).
+against) and made :func:`save_snapshot` crash-atomic.  Only version 3
+restores: nothing has written versions 1 and 2 since version 3 shipped.
 Version 4 is the sharded envelope: a
 :class:`~repro.core.sharding.ShardedStabilizer` snapshots as one inner
 version-3 snapshot per owned shard (each carrying that shard's
@@ -45,7 +45,7 @@ from repro.transport.messages import SyntheticPayload
 
 SNAPSHOT_VERSION = 3
 SHARDED_SNAPSHOT_VERSION = 5
-_SUPPORTED_VERSIONS = (1, 2, 3)
+_SUPPORTED_VERSIONS = (3,)
 _SUPPORTED_SHARDED_VERSIONS = (4, 5)
 
 
@@ -148,16 +148,19 @@ def restore_state(stabilizer, snapshot: dict) -> None:
     message so the stream never reuses a number.  Restores the ACK tables,
     the frontier values (rebuilding the engine's reverse dependency index
     and releasing any waiter the restored frontier already covers), the
-    per-origin receive watermarks, and — for version-2 snapshots — the
-    send buffer's undelivered tail, ready for
+    per-origin receive watermarks, and the send buffer's undelivered
+    tail, ready for
     :meth:`~repro.core.stabilizer.Stabilizer.request_catchup` replay.
     """
     if snapshot.get("version") in _SUPPORTED_SHARDED_VERSIONS:
         _restore_sharded(stabilizer, snapshot)
         return
     if snapshot.get("version") not in _SUPPORTED_VERSIONS:
+        plain = ", ".join(map(str, _SUPPORTED_VERSIONS))
+        sharded = ", ".join(map(str, _SUPPORTED_SHARDED_VERSIONS))
         raise StabilizerError(
-            f"unsupported snapshot version {snapshot.get('version')!r}"
+            f"unsupported snapshot version {snapshot.get('version')!r}; "
+            f"supported: {plain} (sharded: {sharded})"
         )
     config = snapshot["config"]
     if config["node_names"] != stabilizer.config.node_names:
@@ -200,7 +203,7 @@ def restore_state(stabilizer, snapshot: dict) -> None:
             raise StabilizerError(f"snapshot has unknown origin {origin!r}")
         table.restore(rows)
     stabilizer.engine.restore_frontiers(snapshot["frontiers"])
-    stabilizer.engine.restore_monitor_high(snapshot.get("monitor_high", {}))
+    stabilizer.engine.restore_monitor_high(snapshot["monitor_high"])
     stabilizer.dataplane._next_seq = max(
         stabilizer.dataplane._next_seq, int(snapshot["next_seq"])
     )
@@ -215,21 +218,20 @@ def restore_state(stabilizer, snapshot: dict) -> None:
         stabilizer.dataplane.restore_highest_received(
             origin, stabilizer.tables[origin].get(local_index, received)
         )
-    buffer_state = snapshot.get("buffer")
-    if buffer_state is not None:
-        buffer = stabilizer.dataplane.buffer
-        buffer._reclaimed_up_to = max(
-            buffer._reclaimed_up_to, int(buffer_state["reclaimed_up_to"])
+    buffer_state = snapshot["buffer"]
+    buffer = stabilizer.dataplane.buffer
+    buffer._reclaimed_up_to = max(
+        buffer._reclaimed_up_to, int(buffer_state["reclaimed_up_to"])
+    )
+    for entry in buffer_state["entries"]:
+        chunk_meta = tuple(entry["chunk_meta"])
+        buffer.add(
+            entry["seq"],
+            entry["size"],
+            meta=chunk_meta[4],
+            payload=_decode_payload(entry["payload"]),
+            chunk_meta=chunk_meta,
         )
-        for entry in buffer_state["entries"]:
-            chunk_meta = tuple(entry["chunk_meta"])
-            buffer.add(
-                entry["seq"],
-                entry["size"],
-                meta=chunk_meta[4],
-                payload=_decode_payload(entry["payload"]),
-                chunk_meta=chunk_meta,
-            )
     strategy_state = (snapshot.get("strategy") or {}).get("state")
     if strategy_state:
         stabilizer.strategy.restore(strategy_state)

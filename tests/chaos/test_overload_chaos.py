@@ -8,7 +8,7 @@ degradation is temporary — the pristine predicate comes back).
 
 import pytest
 
-from repro.chaos import OverloadChaosConfig, run_overload_chaos
+from repro.chaos import OverloadChaosConfig, run_chaos
 from repro.chaos.schedule import generate_schedule
 
 pytestmark = pytest.mark.overload_smoke
@@ -27,7 +27,7 @@ def config(tmp_path, **kwargs):
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 5])
 def test_seeded_overload_sweep_is_violation_free(tmp_path, seed):
-    report = run_overload_chaos(config(tmp_path, seed=seed))
+    report = run_chaos(config(tmp_path, seed=seed))
     assert report["violations"] == []
     # Invariant 13: nothing that was admitted was ever shed, and the
     # books balance — every offer is accounted admitted, shed, or queued.
@@ -46,15 +46,15 @@ def test_seeded_overload_sweep_is_violation_free(tmp_path, seed):
 
 
 def test_flash_crowd_fires_and_sheds(tmp_path):
-    report = run_overload_chaos(config(tmp_path, seed=0))
+    report = run_chaos(config(tmp_path, seed=0))
     kinds = {kind for _, kind, _ in report["fired"]}
     assert "flash_crowd" in kinds
     assert report["admission"]["admission.shed"] > 0
 
 
 def test_same_seed_reproduces_the_run(tmp_path):
-    first = run_overload_chaos(config(tmp_path, seed=4))
-    second = run_overload_chaos(config(tmp_path, seed=4))
+    first = run_chaos(config(tmp_path, seed=4))
+    second = run_chaos(config(tmp_path, seed=4))
     assert first["schedule"] == second["schedule"]
     assert first["fired"] == second["fired"]
     assert first["admission"] == second["admission"]

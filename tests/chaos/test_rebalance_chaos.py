@@ -16,7 +16,7 @@ marker.
 
 import pytest
 
-from repro.chaos import ChaosEvent, RebalanceChaosConfig, run_rebalance_chaos
+from repro.chaos import ChaosEvent, RebalanceChaosConfig, run_chaos
 
 pytestmark = pytest.mark.rebalance_smoke
 
@@ -28,7 +28,7 @@ def config(tmp_path, **kwargs):
 
 @pytest.mark.parametrize("seed", [0, 1, 3, 7])
 def test_seeded_rebalance_sweep_is_violation_free(tmp_path, seed):
-    report = run_rebalance_chaos(config(tmp_path, seed=seed))
+    report = run_chaos(config(tmp_path, seed=seed))
     assert report["violations"] == []
     assert report["unsourced_shards"] == 0
     assert report["waiter_timeouts"] == 0
@@ -49,7 +49,7 @@ def test_crash_joiner_mid_handoff(tmp_path):
         ChaosEvent(at=1.15, kind="crash", target=("s0",)),
         ChaosEvent(at=3.0, kind="restart", target=("s0",)),
     ]
-    report = run_rebalance_chaos(config(tmp_path, events=3), schedule)
+    report = run_chaos(config(tmp_path, events=3), schedule)
     assert report["violations"] == []
     assert report["epoch_final"] == 1
     assert report["cutovers_checked"] == 1
@@ -65,7 +65,7 @@ def test_crash_source_mid_handoff(tmp_path):
         ChaosEvent(at=1.15, kind="crash", target=("n00",)),
         ChaosEvent(at=3.0, kind="restart", target=("n00",)),
     ]
-    report = run_rebalance_chaos(config(tmp_path, events=3), schedule)
+    report = run_chaos(config(tmp_path, events=3), schedule)
     assert report["violations"] == []
     assert report["epoch_final"] == 1
     assert report["cutovers_checked"] == 1
@@ -81,7 +81,7 @@ def test_leave_under_partition_heals_and_restores_replication(tmp_path):
         ChaosEvent(at=1.0, kind="node_leave", target=("n01",)),
         ChaosEvent(at=2.5, kind="heal", target=("az0", "az1")),
     ]
-    report = run_rebalance_chaos(config(tmp_path, events=3), schedule)
+    report = run_chaos(config(tmp_path, events=3), schedule)
     assert report["violations"] == []
     assert report["epoch_final"] == 1
     assert report["unsourced_shards"] == 0

@@ -234,10 +234,14 @@ def test_restore_rejects_other_node_snapshot(strategy):
 def test_restore_rejects_bad_version(strategy):
     sim, net, cluster = build(strategy=strategy)
     a = cluster["a"]
-    snap = snapshot_state(a)
-    snap["version"] = 99
-    with pytest.raises(StabilizerError, match="version"):
-        restore_state(a, snap)
+    # Versions 1 and 2 predate the durability section and are no longer
+    # restored; the refusal names what is supported.
+    for version in (1, 2, 99):
+        snap = snapshot_state(a)
+        snap["version"] = version
+        with pytest.raises(StabilizerError, match="version") as excinfo:
+            restore_state(a, snap)
+        assert "supported: 3 (sharded: 4, 5)" in str(excinfo.value)
 
 
 def test_load_snapshot_missing_file(tmp_path):
@@ -344,23 +348,3 @@ def test_monitor_high_survives_the_restart(strategy):
     # Restoring must not re-report anything at or below the pre-crash
     # high-water mark to the fresh monitors.
     assert all(value > seq for _origin, value in reported)
-
-
-def test_version_1_snapshot_still_restores():
-    # Acktable-only on purpose: a version-1 snapshot predates the strategy
-    # section, and the restore path treats it as the default engine's.
-    sim, net, cluster = build()
-    a = cluster["a"]
-    seq = a.send(b"legacy")
-    sim.run_until_triggered(a.waitfor(seq, "all"), limit=2.0)
-    snap = snapshot_state(a)
-    snap["version"] = 1
-    del snap["buffer"]
-    del snap["monitor_high"]
-
-    sim2 = Simulator()
-    net2 = net.topology.build(sim2)
-    restarted = Stabilizer(net2, a.config)
-    restore_state(restarted, snap)
-    assert restarted.get_stability_frontier("all") == seq
-    assert restarted.send(b"next") == seq + 1

@@ -72,15 +72,6 @@ def test_import_is_warning_free():
         _ = repro.Stabilizer
 
 
-def test_synthetic_payload_alias_warns():
-    with pytest.warns(DeprecationWarning, match="repro.testing"):
-        payload_cls = repro.SyntheticPayload
-    from repro.testing import SyntheticPayload
-
-    assert payload_cls is SyntheticPayload
-    assert "SyntheticPayload" not in repro.__all__
-
-
 def test_unknown_attribute_raises():
     with pytest.raises(AttributeError):
         repro.NoSuchThing
@@ -123,21 +114,14 @@ def test_stats_has_no_deprecated_wal_aliases():
     cluster.close()
 
 
-def test_legacy_stabilizer_kwargs_warn_and_apply():
+def test_stabilizer_takes_tunables_only_from_config():
     from repro import NetemSpec, Simulator, Stabilizer, StabilizerConfig, Topology
 
     topo = Topology()
     topo.add_node("a", "az0")
     topo.add_node("b", "az1")
     topo.set_default(NetemSpec(latency_ms=1, rate_mbit=1000))
-    sim = Simulator()
-    net = topo.build(sim)
+    net = topo.build(Simulator())
     config = StabilizerConfig.from_topology(topo, "a")
-    with pytest.warns(DeprecationWarning, match="StabilizerConfig.frame_bytes"):
-        node = Stabilizer(net, config, frame_bytes=1024)
-    assert node.config.frame_bytes == 1024
-    assert config.frame_bytes != 1024  # the caller's config is untouched
-    node.close()
-
-    with pytest.raises(TypeError, match="no_such_knob"):
-        Stabilizer(net, config.for_node("b"), no_such_knob=1)
+    with pytest.raises(TypeError, match="frame_bytes"):
+        Stabilizer(net, config, frame_bytes=1024)
